@@ -154,4 +154,24 @@ grep -q '"live_requests": 0' "$OBSD_JSON" \
   && { echo "FAIL: no request reached the daemon during the run"; exit 1; }
 echo "operator-plane smoke OK"
 
+echo "== perfbench unit tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== deterministic-proxy gate (perfbench ycsb-collect, seed 7, traced) =="
+# Wall time drifts between machines; these counts do not. A change that
+# moves executed BPF instructions, map lookups or delivered samples on
+# this fixed workload must update them here and say why in CHANGES.md.
+PB_OUT="$CI_RESULTS/perfbench_ycsb_seed7.txt"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload ycsb-collect --seed 7 --seconds 3 --trace 1 > "$PB_OUT"
+for want in \
+  '"correct": true' \
+  '"bpf.insns_executed": {"value": 13190626,' \
+  '"bpf.map_lookups": {"value": 1099206,' \
+  '"core.samples_delivered": {"value": 20740,'; do
+  grep -qF "$want" "$PB_OUT" \
+    || { echo "FAIL: perfbench result lacks $want"; tail -c 2000 "$PB_OUT"; exit 1; }
+done
+echo "deterministic proxies OK"
+
 echo "CI gate passed."

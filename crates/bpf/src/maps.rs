@@ -8,9 +8,29 @@
 //! data without correctness problems, which is how TScout avoids back
 //! pressure on the DBMS (§3).
 //!
-//! Hash maps use `BTreeMap` internally so iteration order — and therefore
-//! every simulation — is deterministic.
+//! ## Storage: index plus slab
+//!
+//! Hash and array values live in a slab: one flat byte buffer with a
+//! fixed stride of `value_size`, plus a generation number per slot. A
+//! hash map adds a `BTreeMap<key, slot>` index and a LIFO free list;
+//! deleting a key bumps its slot's generation and frees the slot, and the
+//! next insert of a new key takes the most recently freed slot (or grows
+//! the slab). An array map is a slab of `entries` slots whose
+//! generations never change.
+//!
+//! A [`ValueRef`] — `(map, slot, generation)` — names a value without
+//! its key. [`MapRegistry::lookup_ref`] resolves a key once;
+//! [`MapRegistry::deref`] and [`MapRegistry::deref_mut`] then reach the
+//! value with an index, a generation check and a bounds check, and fall
+//! back to resolving the key again only when the generation moved. This
+//! is how the VM's map-value pointers stay cheap.
+//!
+//! Slot numbers are internal: iteration, [`MapRegistry::dump`] and
+//! [`MapRegistry::entries`] go through the index, so hash maps still
+//! report in key order and every simulation stays deterministic no
+//! matter which slots were reused.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -21,8 +41,79 @@ use std::collections::{BTreeMap, VecDeque};
 /// `dropped` stays exact either way).
 pub const EVICTED_KEEP: usize = 4096;
 
+/// Bytes held inline up to `N`, on the heap beyond. Compares and orders
+/// exactly like the byte slice it holds, so a `BTreeMap` keyed by it
+/// iterates in the same order as one keyed by `Vec<u8>`.
+#[derive(Debug, Clone)]
+pub enum SmallBytes<const N: usize> {
+    Inline(usize, [u8; N]),
+    Heap(Box<[u8]>),
+}
+
+/// A map key as stored in a hash map's index: every key the Collector
+/// programs use fits inline.
+pub type MapKey = SmallBytes<16>;
+
+impl<const N: usize> SmallBytes<N> {
+    pub fn new(bytes: &[u8]) -> Self {
+        if bytes.len() <= N {
+            let mut buf = [0u8; N];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            SmallBytes::Inline(bytes.len(), buf)
+        } else {
+            SmallBytes::Heap(bytes.into())
+        }
+    }
+
+    pub fn as_slice(&self) -> &[u8] {
+        match self {
+            SmallBytes::Inline(len, buf) => &buf[..*len],
+            SmallBytes::Heap(b) => b,
+        }
+    }
+}
+
+impl<const N: usize> Default for SmallBytes<N> {
+    fn default() -> Self {
+        SmallBytes::Inline(0, [0; N])
+    }
+}
+
+impl<const N: usize> std::ops::Deref for SmallBytes<N> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl<const N: usize> Borrow<[u8]> for SmallBytes<N> {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl<const N: usize> PartialEq for SmallBytes<N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<const N: usize> Eq for SmallBytes<N> {}
+
+impl<const N: usize> PartialOrd for SmallBytes<N> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<const N: usize> Ord for SmallBytes<N> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
 /// Identifier of a created map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MapId(pub u32);
 
 /// Map flavors, mirroring the BPF map types TScout relies on.
@@ -85,10 +176,54 @@ impl MapDef {
     }
 }
 
+/// Fixed-stride value storage with a generation number per slot.
+#[derive(Debug)]
+struct Slab {
+    bytes: Vec<u8>,
+    stride: usize,
+    gens: Vec<u32>,
+}
+
+impl Slab {
+    fn new(stride: usize, slots: usize) -> Self {
+        Slab {
+            bytes: vec![0; stride * slots],
+            stride,
+            gens: vec![0; slots],
+        }
+    }
+
+    /// Whether `slot` exists and its generation is still `gen`.
+    fn live(&self, slot: u32, gen: u32) -> bool {
+        self.gens.get(slot as usize) == Some(&gen)
+    }
+
+    /// The value in `slot` if its generation is still `gen`.
+    fn get(&self, slot: u32, gen: u32) -> Option<&[u8]> {
+        self.live(slot, gen).then(|| self.value(slot))
+    }
+
+    /// The value in `slot` (callers hold the slot from an index).
+    fn value(&self, slot: u32) -> &[u8] {
+        let start = slot as usize * self.stride;
+        &self.bytes[start..start + self.stride]
+    }
+
+    fn value_mut(&mut self, slot: u32) -> &mut [u8] {
+        let start = slot as usize * self.stride;
+        &mut self.bytes[start..start + self.stride]
+    }
+}
+
 #[derive(Debug)]
 enum Storage {
-    Hash(BTreeMap<Vec<u8>, Vec<u8>>),
-    Array(Vec<Vec<u8>>),
+    Hash {
+        index: BTreeMap<MapKey, u32>,
+        slab: Slab,
+        /// Freed slots, most recently freed last (reused first).
+        free: Vec<u32>,
+    },
+    Array(Slab),
     Stack(Vec<Vec<u8>>),
     Ring {
         buf: VecDeque<Vec<u8>>,
@@ -103,6 +238,15 @@ enum Storage {
         /// can attribute losses to a subsystem/OU by decoding headers.
         evicted: VecDeque<Vec<u8>>,
     },
+}
+
+/// A resolved hash or array value: valid while its slot's generation is
+/// unchanged, i.e. until the key is deleted or the map cleared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ValueRef {
+    map: MapId,
+    slot: u32,
+    gen: u32,
 }
 
 /// Point-in-time statistics for one perf ring.
@@ -163,7 +307,7 @@ impl MapError {
 #[derive(Debug, Default)]
 pub struct MapRegistry {
     maps: Vec<MapInstance>,
-    /// `Cell` because `lookup` takes `&self`.
+    /// `Cell` because `lookup` and `deref` take `&self`.
     lookups: Cell<u64>,
     ops: MapOpStats,
 }
@@ -175,8 +319,12 @@ impl MapRegistry {
 
     pub fn create(&mut self, def: MapDef) -> MapId {
         let storage = match def.kind {
-            MapKind::Hash { .. } => Storage::Hash(BTreeMap::new()),
-            MapKind::Array { entries } => Storage::Array(vec![vec![0; def.value_size]; entries]),
+            MapKind::Hash { .. } => Storage::Hash {
+                index: BTreeMap::new(),
+                slab: Slab::new(def.value_size, 0),
+                free: Vec::new(),
+            },
+            MapKind::Array { entries } => Storage::Array(Slab::new(def.value_size, entries)),
             MapKind::Stack { .. } => Storage::Stack(Vec::new()),
             MapKind::PerfEventArray { .. } => Storage::Ring {
                 buf: VecDeque::new(),
@@ -218,33 +366,68 @@ impl MapRegistry {
 
     /// Look up a value. For arrays the key is a 4-byte LE index.
     pub fn lookup(&self, id: MapId, key: &[u8]) -> Option<&[u8]> {
+        let r = self.lookup_ref(id, key)?;
+        self.slab(r)?.get(r.slot, r.gen)
+    }
+
+    /// Resolve a key to a [`ValueRef`]. Counts one lookup.
+    pub fn lookup_ref(&self, id: MapId, key: &[u8]) -> Option<ValueRef> {
         self.lookups.set(self.lookups.get() + 1);
-        let m = self.map(id);
-        match &m.storage {
-            Storage::Hash(h) => h.get(key).map(Vec::as_slice),
-            Storage::Array(a) => {
-                let idx = array_index(key)?;
-                a.get(idx).map(Vec::as_slice)
-            }
+        self.resolve(id, key)
+    }
+
+    /// Read a value through a [`ValueRef`] taken for `key`. Counts one
+    /// lookup. When the slot's generation moved (the key was deleted,
+    /// possibly re-inserted, or the map cleared) the key is resolved
+    /// again and `r` refreshed, so the reference always reaches the live
+    /// value for its key; `None` once the key is gone.
+    pub fn deref(&self, r: &mut ValueRef, key: &[u8]) -> Option<&[u8]> {
+        self.lookups.set(self.lookups.get() + 1);
+        let slab = self.slab(*r)?;
+        if let Some(v) = slab.get(r.slot, r.gen) {
+            return Some(v);
+        }
+        *r = self.resolve(r.map, key)?;
+        slab.get(r.slot, r.gen)
+    }
+
+    /// Mutable form of [`MapRegistry::deref`] (backs BPF's in-place
+    /// value updates).
+    pub fn deref_mut(&mut self, r: &mut ValueRef, key: &[u8]) -> Option<&mut [u8]> {
+        self.lookups.set(self.lookups.get() + 1);
+        if !self.slab(*r)?.live(r.slot, r.gen) {
+            *r = self.resolve(r.map, key)?;
+        }
+        match &mut self.maps[r.map.0 as usize].storage {
+            Storage::Hash { slab, .. } | Storage::Array(slab) => Some(slab.value_mut(r.slot)),
             _ => None,
         }
     }
 
-    /// Mutable view of a stored value (backs BPF's in-place value pointers).
-    pub fn lookup_mut(&mut self, id: MapId, key: &[u8]) -> Option<&mut [u8]> {
-        self.lookups.set(self.lookups.get() + 1);
-        let m = self.map_mut(id);
-        match &mut m.storage {
-            Storage::Hash(h) => h.get_mut(key).map(Vec::as_mut_slice),
-            Storage::Array(a) => {
-                let idx = array_index(key)?;
-                a.get_mut(idx).map(Vec::as_mut_slice)
+    fn resolve(&self, id: MapId, key: &[u8]) -> Option<ValueRef> {
+        let (slot, gen) = match &self.map(id).storage {
+            Storage::Hash { index, slab, .. } => {
+                let slot = *index.get(key)?;
+                (slot, slab.gens[slot as usize])
             }
+            Storage::Array(slab) => {
+                let idx = array_index(key).filter(|&i| i < slab.gens.len())?;
+                (idx as u32, 0)
+            }
+            _ => return None,
+        };
+        Some(ValueRef { map: id, slot, gen })
+    }
+
+    fn slab(&self, r: ValueRef) -> Option<&Slab> {
+        match &self.maps.get(r.map.0 as usize)?.storage {
+            Storage::Hash { slab, .. } | Storage::Array(slab) => Some(slab),
             _ => None,
         }
     }
 
-    /// Insert or overwrite.
+    /// Insert or overwrite. Overwriting keeps the key's slot, so
+    /// outstanding [`ValueRef`]s see the new value.
     pub fn update(&mut self, id: MapId, key: &[u8], value: &[u8]) -> Result<(), MapError> {
         self.ops.updates += 1;
         let m = self.map_mut(id);
@@ -252,28 +435,48 @@ impl MapRegistry {
             return Err(MapError::Invalid);
         }
         match (&mut m.storage, m.def.kind) {
-            (Storage::Hash(h), MapKind::Hash { max_entries }) => {
-                if !h.contains_key(key) && h.len() >= max_entries {
+            (Storage::Hash { index, slab, free }, MapKind::Hash { max_entries }) => {
+                if let Some(&slot) = index.get(key) {
+                    slab.value_mut(slot).copy_from_slice(value);
+                    return Ok(());
+                }
+                if index.len() >= max_entries {
                     return Err(MapError::Full);
                 }
-                h.insert(key.to_vec(), value.to_vec());
+                let slot = free.pop().unwrap_or_else(|| {
+                    slab.gens.push(0);
+                    slab.bytes.resize(slab.bytes.len() + slab.stride, 0);
+                    slab.gens.len() as u32 - 1
+                });
+                slab.value_mut(slot).copy_from_slice(value);
+                index.insert(MapKey::new(key), slot);
                 Ok(())
             }
-            (Storage::Array(a), _) => {
+            (Storage::Array(slab), _) => {
                 let idx = array_index(key).ok_or(MapError::Invalid)?;
-                let slot = a.get_mut(idx).ok_or(MapError::NotFound)?;
-                slot.copy_from_slice(value);
+                if idx >= slab.gens.len() {
+                    return Err(MapError::NotFound);
+                }
+                slab.value_mut(idx as u32).copy_from_slice(value);
                 Ok(())
             }
             _ => Err(MapError::Invalid),
         }
     }
 
+    /// Remove a key. Its slot's generation moves on and the slot joins
+    /// the free list.
     pub fn delete(&mut self, id: MapId, key: &[u8]) -> Result<(), MapError> {
         self.ops.deletes += 1;
         let m = self.map_mut(id);
         match &mut m.storage {
-            Storage::Hash(h) => h.remove(key).map(|_| ()).ok_or(MapError::NotFound),
+            Storage::Hash { index, slab, free } => {
+                let slot = index.remove(key).ok_or(MapError::NotFound)?;
+                let gen = &mut slab.gens[slot as usize];
+                *gen = gen.wrapping_add(1);
+                free.push(slot);
+                Ok(())
+            }
             _ => Err(MapError::Invalid),
         }
     }
@@ -281,8 +484,8 @@ impl MapRegistry {
     /// Number of live entries (hash/stack) or slots (array).
     pub fn entries(&self, id: MapId) -> usize {
         match &self.map(id).storage {
-            Storage::Hash(h) => h.len(),
-            Storage::Array(a) => a.len(),
+            Storage::Hash { index, .. } => index.len(),
+            Storage::Array(slab) => slab.gens.len(),
             Storage::Stack(s) => s.len(),
             Storage::Ring { buf, .. } => buf.len(),
         }
@@ -325,8 +528,9 @@ impl MapRegistry {
 
     /// Publish a record. When the ring is full the *oldest* record is
     /// overwritten and the drop counter incremented; the producer never
-    /// blocks (the "no back pressure" design property).
-    pub fn ring_push(&mut self, id: MapId, data: &[u8]) -> Result<(), MapError> {
+    /// blocks (the "no back pressure" design property). The record is
+    /// moved into the ring, not copied.
+    pub fn ring_push(&mut self, id: MapId, data: Vec<u8>) -> Result<(), MapError> {
         self.ops.ring_pushes += 1;
         let m = self.map_mut(id);
         match (&mut m.storage, m.def.kind) {
@@ -350,9 +554,9 @@ impl MapRegistry {
                     }
                     *dropped += 1;
                 }
-                buf.push_back(data.to_vec());
                 *produced += 1;
                 *bytes += data.len() as u64;
+                buf.push_back(data);
                 *hwm = (*hwm).max(buf.len());
                 Ok(())
             }
@@ -439,11 +643,12 @@ impl MapRegistry {
     pub fn dump(&self, id: MapId) -> Vec<(Vec<u8>, Vec<u8>)> {
         let idx_key = |i: usize| (i as u32).to_le_bytes().to_vec();
         match &self.map(id).storage {
-            Storage::Hash(h) => h.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            Storage::Array(a) => a
+            Storage::Hash { index, slab, .. } => index
                 .iter()
-                .enumerate()
-                .map(|(i, v)| (idx_key(i), v.clone()))
+                .map(|(k, &slot)| (k.to_vec(), slab.value(slot).to_vec()))
+                .collect(),
+            Storage::Array(slab) => (0..slab.gens.len())
+                .map(|i| (idx_key(i), slab.value(i as u32).to_vec()))
                 .collect(),
             Storage::Stack(s) => s
                 .iter()
@@ -458,16 +663,21 @@ impl MapRegistry {
         }
     }
 
-    /// Clear all dynamic contents (reload support, §5.4).
+    /// Clear all dynamic contents (reload support, §5.4). Every hash
+    /// slot's generation moves on, so no earlier [`ValueRef`] reaches a
+    /// value inserted afterwards; array slots stay valid and read zero.
     pub fn clear(&mut self, id: MapId) {
         let m = self.map_mut(id);
         match &mut m.storage {
-            Storage::Hash(h) => h.clear(),
-            Storage::Array(a) => {
-                for slot in a.iter_mut() {
-                    slot.fill(0);
+            Storage::Hash { index, slab, free } => {
+                index.clear();
+                free.clear();
+                for (slot, gen) in slab.gens.iter_mut().enumerate().rev() {
+                    *gen = gen.wrapping_add(1);
+                    free.push(slot as u32);
                 }
             }
+            Storage::Array(slab) => slab.bytes.fill(0),
             Storage::Stack(s) => s.clear(),
             Storage::Ring {
                 buf,
@@ -558,9 +768,9 @@ mod tests {
     fn ring_overwrites_oldest_when_full() {
         let mut r = MapRegistry::new();
         let m = r.create(MapDef::perf_event_array("ring", 2));
-        r.ring_push(m, b"a").unwrap();
-        r.ring_push(m, b"b").unwrap();
-        r.ring_push(m, b"c").unwrap(); // overwrites "a"
+        r.ring_push(m, b"a".to_vec()).unwrap();
+        r.ring_push(m, b"b".to_vec()).unwrap();
+        r.ring_push(m, b"c".to_vec()).unwrap(); // overwrites "a"
         assert_eq!(r.ring_dropped(m), 1);
         let drained = r.ring_drain(m, 10);
         assert_eq!(drained, vec![b"b".to_vec(), b"c".to_vec()]);
@@ -572,7 +782,7 @@ mod tests {
         let mut r = MapRegistry::new();
         let m = r.create(MapDef::perf_event_array("ring", 10));
         for i in 0..5u8 {
-            r.ring_push(m, &[i]).unwrap();
+            r.ring_push(m, vec![i]).unwrap();
         }
         let first = r.ring_drain(m, 2);
         assert_eq!(first, vec![vec![0], vec![1]]);
@@ -580,12 +790,151 @@ mod tests {
     }
 
     #[test]
-    fn lookup_mut_mutates_in_place() {
+    fn deref_mut_mutates_in_place() {
         let mut r = MapRegistry::new();
         let m = r.create(MapDef::hash("t", 8, 4, 2));
         r.update(m, &key(5), &[0; 4]).unwrap();
-        r.lookup_mut(m, &key(5)).unwrap()[0] = 0xAB;
+        let mut h = r.lookup_ref(m, &key(5)).unwrap();
+        r.deref_mut(&mut h, &key(5)).unwrap()[0] = 0xAB;
         assert_eq!(r.lookup(m, &key(5)).unwrap()[0], 0xAB);
+    }
+
+    #[test]
+    fn update_of_live_key_is_visible_through_earlier_ref() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("t", 8, 4, 4));
+        r.update(m, &key(1), &[1; 4]).unwrap();
+        let mut h = r.lookup_ref(m, &key(1)).unwrap();
+        r.update(m, &key(1), &[2; 4]).unwrap();
+        assert_eq!(r.deref(&mut h, &key(1)).unwrap(), &[2; 4]);
+    }
+
+    #[test]
+    fn delete_invalidates_and_reinsert_is_reached_again() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("t", 8, 4, 4));
+        r.update(m, &key(1), &[1; 4]).unwrap();
+        r.update(m, &key(2), &[2; 4]).unwrap();
+        let mut h = r.lookup_ref(m, &key(1)).unwrap();
+        r.delete(m, &key(1)).unwrap();
+        assert!(r.deref(&mut h, &key(1)).is_none());
+        assert!(r.deref_mut(&mut h, &key(1)).is_none());
+        // Key 3 takes key 1's freed slot; the old reference must not
+        // reach it, but must reach key 1 once it is back.
+        r.update(m, &key(3), &[3; 4]).unwrap();
+        assert!(r.deref(&mut h, &key(1)).is_none());
+        r.update(m, &key(1), &[9; 4]).unwrap();
+        assert_eq!(r.deref(&mut h, &key(1)).unwrap(), &[9; 4]);
+        r.deref_mut(&mut h, &key(1)).unwrap()[0] = 7;
+        assert_eq!(r.lookup(m, &key(1)).unwrap(), &[7, 9, 9, 9]);
+        assert_eq!(r.lookup(m, &key(3)).unwrap(), &[3; 4]);
+    }
+
+    #[test]
+    fn clear_invalidates_refs() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("t", 8, 4, 4));
+        r.update(m, &key(1), &[1; 4]).unwrap();
+        let mut h = r.lookup_ref(m, &key(1)).unwrap();
+        r.clear(m);
+        assert!(r.deref(&mut h, &key(1)).is_none());
+        // A different key now occupies slot 0 at a new generation.
+        r.update(m, &key(2), &[2; 4]).unwrap();
+        assert!(r.deref(&mut h, &key(1)).is_none());
+        // Array values survive a clear, zeroed.
+        let a = r.create(MapDef::array("a", 4, 2));
+        let idx = 1u32.to_le_bytes();
+        r.update(a, &idx, &[5; 4]).unwrap();
+        let mut ha = r.lookup_ref(a, &idx).unwrap();
+        r.clear(a);
+        assert_eq!(r.deref(&mut ha, &idx).unwrap(), &[0; 4]);
+    }
+
+    #[test]
+    fn refs_count_one_lookup_per_access() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("t", 8, 4, 4));
+        r.update(m, &key(1), &[1; 4]).unwrap();
+        let mut h = r.lookup_ref(m, &key(1)).unwrap();
+        r.deref(&mut h, &key(1));
+        r.deref_mut(&mut h, &key(1));
+        r.delete(m, &key(1)).unwrap();
+        r.deref(&mut h, &key(1)); // a miss still counts
+        assert_eq!(r.op_stats().lookups, 4);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_changing_key_order() {
+        // The same operations against a plain ordered model: contents,
+        // order and counts must agree whatever slots were recycled.
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("t", 8, 8, 64));
+        let mut model = BTreeMap::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..2000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = key(x % 48);
+            if x.is_multiple_of(3) {
+                assert_eq!(r.delete(m, &k).is_ok(), model.remove(&k).is_some());
+            } else {
+                r.update(m, &k, &step.to_le_bytes()).unwrap();
+                model.insert(k, step.to_le_bytes().to_vec());
+            }
+            assert_eq!(r.entries(m), model.len());
+        }
+        let expect: Vec<_> = model.into_iter().collect();
+        assert_eq!(r.dump(m), expect);
+        // Slots are never over-allocated: at most max-live-ever slots.
+        match &r.map(m).storage {
+            Storage::Hash { slab, index, free } => {
+                assert_eq!(slab.gens.len(), index.len() + free.len());
+                assert!(slab.gens.len() <= 48);
+            }
+            _ => unreachable!(),
+        }
+        // After a clear, new keys fill slots from the bottom up; after
+        // deletes, the most recently freed slot is taken first.
+        let slot = |r: &MapRegistry, k| r.lookup_ref(m, &key(k)).unwrap().slot;
+        r.clear(m);
+        for k in 100..103 {
+            r.update(m, &key(k), &[1; 8]).unwrap();
+        }
+        assert_eq!([slot(&r, 100), slot(&r, 101), slot(&r, 102)], [0, 1, 2]);
+        r.delete(m, &key(100)).unwrap();
+        r.delete(m, &key(102)).unwrap();
+        r.update(m, &key(200), &[2; 8]).unwrap();
+        r.update(m, &key(201), &[3; 8]).unwrap();
+        assert_eq!([slot(&r, 200), slot(&r, 201)], [2, 0]);
+    }
+
+    #[test]
+    fn large_keys_and_values_work() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::hash("big", 40, 1024, 4));
+        let k1 = [0xEEu8; 40];
+        let mut k2 = [0xEEu8; 40];
+        k2[39] = 0x01;
+        r.update(m, &k1, &[1; 1024]).unwrap();
+        r.update(m, &k2, &[2; 1024]).unwrap();
+        let mut h = r.lookup_ref(m, &k1).unwrap();
+        assert_eq!(r.deref(&mut h, &k1).unwrap(), &[1; 1024][..]);
+        let dump = r.dump(m);
+        assert_eq!(dump[0].0, k2.to_vec(), "heap keys order by bytes");
+        assert_eq!(dump[1].1, vec![1; 1024]);
+        r.delete(m, &k1).unwrap();
+        assert!(r.deref(&mut h, &k1).is_none());
+    }
+
+    #[test]
+    fn small_bytes_order_like_slices() {
+        let a = MapKey::new(&[1, 2]);
+        let b = MapKey::new(&[1, 2, 0]);
+        let c = MapKey::new(&[7; 20]);
+        assert!(a < b && b < c);
+        assert_eq!(c.as_slice(), &[7; 20]);
+        assert_eq!(MapKey::new(&[]), MapKey::default());
     }
 
     #[test]
@@ -593,7 +942,7 @@ mod tests {
         let mut r = MapRegistry::new();
         let m = r.create(MapDef::perf_event_array("ring", 3));
         for i in 0..5u8 {
-            r.ring_push(m, &[i, i]).unwrap();
+            r.ring_push(m, vec![i, i]).unwrap();
         }
         let s = r.ring_stats(m);
         assert_eq!(s.produced, 5);
@@ -620,7 +969,7 @@ mod tests {
         r.delete(h, &key(1)).unwrap();
         r.push(s, &key(9)).unwrap();
         r.pop(s).unwrap();
-        r.ring_push(p, b"x").unwrap();
+        r.ring_push(p, b"x".to_vec()).unwrap();
         r.ring_drain(p, 10);
         let ops = r.op_stats();
         assert_eq!(ops.updates, 1);

@@ -18,9 +18,25 @@
 //!   `map_lookup_elem` — giving BPF's in-place value-update semantics,
 //! * map handles: `0x4000_0000_0000 | map_id` (opaque; only helpers use
 //!   them).
+//!
+//! A dereference-table entry holds the key and a slot handle: a
+//! [`ValueRef`] of `(map, slot, generation)` into the map's value slab
+//! (see [`crate::maps`]). `map_lookup_elem` resolves the key once; every
+//! later access through the pointer is an index, a generation check and
+//! a bounds check. A delete or clear moves the slot's generation on; the
+//! next access then resolves the key again, so a pointer always reaches
+//! the live value for its `(map, key)` — even after a delete and
+//! re-insert in the same run — and faults [`VmError::StaleMapValue`]
+//! only while the key is absent. Entries are numbered in lookup order,
+//! and the first few live inline, so running a program allocates
+//! nothing but the records it publishes.
+//!
+//! Map-op accounting counts one lookup per `map_lookup_elem` call plus
+//! one per access through a map-value pointer (load, store, or helper
+//! argument), whether the access hits or faults stale.
 
 use crate::insn::{AluOp, Helper, Insn, Src};
-use crate::maps::{MapError, MapId, MapRegistry};
+use crate::maps::{MapError, MapId, MapKey, MapRegistry, SmallBytes, ValueRef};
 
 pub const STACK_BASE: u64 = 0x1000_0000_0000;
 pub const STACK_SIZE: usize = 512;
@@ -101,7 +117,7 @@ impl HelperWorld for NullWorld {
         self.pid_tgid
     }
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
-        Some([idx * 100, 1000, 1000])
+        Some([idx.wrapping_mul(100), 1000, 1000])
     }
     fn read_task_io(&mut self) -> [u64; 4] {
         [0; 4]
@@ -119,74 +135,148 @@ struct Exec<'a> {
     stack: [u8; STACK_SIZE],
     ctx: &'a [u8],
     maps: &'a mut MapRegistry,
-    /// Live map-value pointers: `(map, key)` per dereference window.
-    deref: Vec<(MapId, Vec<u8>)>,
+    deref: DerefTable,
 }
 
-impl<'a> Exec<'a> {
-    fn read_bytes(&self, pc: usize, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
-        let mut out = vec![0u8; len];
-        self.read_into(pc, addr, &mut out)?;
-        Ok(out)
+/// A live map-value pointer: the key it was looked up by, and where its
+/// value was found.
+#[derive(Debug, Default)]
+struct Deref {
+    key: MapKey,
+    at: ValueRef,
+}
+
+/// Entries beyond this many spill to the heap (collector programs hold
+/// at most two pointers per run).
+const DEREF_INLINE: usize = 4;
+
+#[derive(Debug, Default)]
+struct DerefTable {
+    inline: [Deref; DEREF_INLINE],
+    len: usize,
+    spill: Vec<Deref>,
+}
+
+impl DerefTable {
+    fn push(&mut self, d: Deref) -> usize {
+        let entry = self.len;
+        match self.inline.get_mut(entry) {
+            Some(slot) => *slot = d,
+            None => self.spill.push(d),
+        }
+        self.len += 1;
+        entry
     }
 
-    fn read_into(&self, pc: usize, addr: u64, out: &mut [u8]) -> Result<(), VmError> {
-        let len = out.len();
+    fn get_mut(&mut self, entry: usize) -> Option<&mut Deref> {
+        if entry >= self.len {
+            None
+        } else if entry < DEREF_INLINE {
+            Some(&mut self.inline[entry])
+        } else {
+            self.spill.get_mut(entry - DEREF_INLINE)
+        }
+    }
+}
+
+/// Helper arguments copied out of VM memory before a map is mutated:
+/// inline up to the stack size, on the heap beyond.
+type ArgBytes = SmallBytes<STACK_SIZE>;
+
+impl<'a> Exec<'a> {
+    /// Run `f` over `len` bytes of readable memory at `addr`.
+    fn read<R>(
+        &mut self,
+        pc: usize,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, VmError> {
         if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
             let off = (addr - STACK_BASE) as usize;
-            out.copy_from_slice(&self.stack[off..off + len]);
-            return Ok(());
+            return Ok(f(&self.stack[off..off + len]));
         }
         if in_window(addr, CTX_BASE, self.ctx.len() as u64, len) {
             let off = (addr - CTX_BASE) as usize;
-            out.copy_from_slice(&self.ctx[off..off + len]);
-            return Ok(());
+            return Ok(f(&self.ctx[off..off + len]));
         }
         if let Some((entry, off)) = mapv_decode(addr) {
-            let (map, key) = self
+            let d = self
                 .deref
-                .get(entry)
+                .get_mut(entry)
                 .ok_or(VmError::BadAddress { pc, addr })?;
             let val = self
                 .maps
-                .lookup(*map, key)
+                .deref(&mut d.at, &d.key)
                 .ok_or(VmError::StaleMapValue { pc })?;
-            if off + len > val.len() {
-                return Err(VmError::BadAddress { pc, addr });
-            }
-            out.copy_from_slice(&val[off..off + len]);
-            return Ok(());
+            let bytes = val
+                .get(off..)
+                .and_then(|v| v.get(..len))
+                .ok_or(VmError::BadAddress { pc, addr })?;
+            return Ok(f(bytes));
         }
         Err(VmError::BadAddress { pc, addr })
     }
 
-    fn write_bytes(&mut self, pc: usize, addr: u64, data: &[u8]) -> Result<(), VmError> {
-        let len = data.len();
+    /// Run `f` over `len` bytes of writable memory at `addr`.
+    fn write<R>(
+        &mut self,
+        pc: usize,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, VmError> {
         if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
             let off = (addr - STACK_BASE) as usize;
-            self.stack[off..off + len].copy_from_slice(data);
-            return Ok(());
+            return Ok(f(&mut self.stack[off..off + len]));
         }
         if in_window(addr, CTX_BASE, self.ctx.len() as u64, len) {
             return Err(VmError::ReadOnly { pc, addr });
         }
         if let Some((entry, off)) = mapv_decode(addr) {
-            let (map, key) = self
+            let d = self
                 .deref
-                .get(entry)
-                .cloned()
+                .get_mut(entry)
                 .ok_or(VmError::BadAddress { pc, addr })?;
             let val = self
                 .maps
-                .lookup_mut(map, &key)
+                .deref_mut(&mut d.at, &d.key)
                 .ok_or(VmError::StaleMapValue { pc })?;
-            if off + len > val.len() {
-                return Err(VmError::BadAddress { pc, addr });
-            }
-            val[off..off + len].copy_from_slice(data);
-            return Ok(());
+            let bytes = val
+                .get_mut(off..)
+                .and_then(|v| v.get_mut(..len))
+                .ok_or(VmError::BadAddress { pc, addr })?;
+            return Ok(f(bytes));
         }
         Err(VmError::BadAddress { pc, addr })
+    }
+
+    fn write_bytes(&mut self, pc: usize, addr: u64, data: &[u8]) -> Result<(), VmError> {
+        self.write(pc, addr, data.len(), |dst| dst.copy_from_slice(data))
+    }
+}
+
+/// Zero-extend a 1-, 2-, 4- or 8-byte little-endian value. The sized
+/// arms compile to single moves instead of a variable-length copy.
+fn load_le(src: &[u8]) -> u64 {
+    match *src {
+        [a] => a as u64,
+        [a, b] => u16::from_le_bytes([a, b]) as u64,
+        [a, b, c, d] => u32::from_le_bytes([a, b, c, d]) as u64,
+        [a, b, c, d, e, f, g, h] => u64::from_le_bytes([a, b, c, d, e, f, g, h]),
+        _ => 0,
+    }
+}
+
+/// Store the low `dst.len()` (1, 2, 4 or 8) bytes of `v`, little-endian.
+fn store_le(dst: &mut [u8], v: u64) {
+    let bytes = v.to_le_bytes();
+    match dst.len() {
+        1 => dst[0] = bytes[0],
+        2 => dst.copy_from_slice(&bytes[..2]),
+        4 => dst.copy_from_slice(&bytes[..4]),
+        8 => dst.copy_from_slice(&bytes),
+        _ => {}
     }
 }
 
@@ -226,17 +316,15 @@ impl Vm {
             stack: [0; STACK_SIZE],
             ctx,
             maps,
-            deref: Vec::new(),
+            deref: DerefTable::default(),
         };
         let mut stats = ExecStats::default();
         let mut pc = 0usize;
-        let mut fuel = FUEL;
 
         loop {
-            if fuel == 0 {
+            if stats.insns == FUEL {
                 return Err(VmError::OutOfFuel);
             }
-            fuel -= 1;
             stats.insns += 1;
             let insn = *prog.get(pc).ok_or(VmError::PcOutOfBounds { pc })?;
             match insn {
@@ -256,8 +344,7 @@ impl Vm {
                     off,
                 } => {
                     let addr = regs[base.index()].wrapping_add(off as i64 as u64);
-                    let bytes = exec.read_bytes(pc, addr, size.bytes())?;
-                    regs[dst.index()] = zext(&bytes);
+                    regs[dst.index()] = exec.read(pc, addr, size.bytes(), load_le)?;
                     pc += 1;
                 }
                 Insn::Store {
@@ -271,8 +358,7 @@ impl Vm {
                         Src::Imm(i) => i as u64,
                         Src::Reg(r) => regs[r.index()],
                     };
-                    let bytes = v.to_le_bytes();
-                    exec.write_bytes(pc, addr, &bytes[..size.bytes()])?;
+                    exec.write(pc, addr, size.bytes(), |dst| store_le(dst, v))?;
                     pc += 1;
                 }
                 Insn::Jump { cond, off } => {
@@ -320,14 +406,14 @@ impl Vm {
             Helper::GetCurrentPidTgid => world.current_pid_tgid(),
             Helper::MapLookup => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                let key_size = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                let key = exec.read_bytes(pc, regs[2], key_size)?;
-                if exec.maps.lookup(map, &key).is_some() {
-                    let entry = exec.deref.len();
-                    exec.deref.push((map, key));
-                    MAPV_BASE + ((entry as u64) << 32)
-                } else {
-                    0
+                let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
+                let key = exec.read(pc, regs[2], ks, MapKey::new)?;
+                match exec.maps.lookup_ref(map, &key) {
+                    Some(at) => {
+                        let entry = exec.deref.push(Deref { key, at });
+                        MAPV_BASE + ((entry as u64) << 32)
+                    }
+                    None => 0,
                 }
             }
             Helper::MapUpdate => {
@@ -336,24 +422,25 @@ impl Vm {
                     let d = exec.maps.def(map).ok_or_else(bad)?;
                     (d.key_size, d.value_size)
                 };
-                let key = exec.read_bytes(pc, regs[2], ks)?;
-                let val = exec.read_bytes(pc, regs[3], vs)?;
+                let key = exec.read(pc, regs[2], ks, MapKey::new)?;
+                let val = exec.read(pc, regs[3], vs, ArgBytes::new)?;
                 errno(exec.maps.update(map, &key, &val))
             }
             Helper::MapDelete => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                let key = exec.read_bytes(pc, regs[2], ks)?;
+                let key = exec.read(pc, regs[2], ks, MapKey::new)?;
                 errno(exec.maps.delete(map, &key))
             }
             Helper::MapPush => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let vs = exec.maps.def(map).ok_or_else(bad)?.value_size;
-                let val = exec.read_bytes(pc, regs[2], vs)?;
+                let val = exec.read(pc, regs[2], vs, ArgBytes::new)?;
                 errno(exec.maps.push(map, &val))
             }
             Helper::MapPop => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
+                exec.maps.def(map).ok_or_else(bad)?;
                 match exec.maps.pop(map) {
                     Ok(val) => {
                         exec.write_bytes(pc, regs[2], &val)?;
@@ -388,10 +475,11 @@ impl Vm {
             }
             Helper::PerfEventOutput => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                let len = regs[3] as usize;
-                let data = exec.read_bytes(pc, regs[2], len)?;
+                exec.maps.def(map).ok_or_else(bad)?;
+                // The one allocation of a run: the record the ring keeps.
+                let data = exec.read(pc, regs[2], regs[3] as usize, <[u8]>::to_vec)?;
                 stats.ring_publishes += 1;
-                errno(exec.maps.ring_push(map, &data))
+                errno(exec.maps.ring_push(map, data))
             }
         };
         // Clobber caller-saved registers exactly as the ABI specifies.
@@ -408,12 +496,6 @@ fn errno(r: Result<(), MapError>) -> u64 {
         Ok(()) => 0,
         Err(e) => e.errno() as u64,
     }
-}
-
-fn zext(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(buf)
 }
 
 /// Concrete ALU evaluation — shared with the load-time optimizer's
@@ -441,8 +523,14 @@ pub(crate) fn alu(op: AluOp, d: u64, s: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
-    use crate::insn::{Cond, Size, R0, R1, R10, R2, R3, R4, R6};
+    use crate::insn::{Cond, Size, R0, R1, R10, R2, R3, R4, R6, R7, R9};
     use crate::maps::MapDef;
+
+    fn zext(bytes: &[u8]) -> u64 {
+        let mut buf = [0u8; 8];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(buf)
+    }
 
     fn run(prog: Vec<Insn>, ctx: &[u8], maps: &mut MapRegistry) -> u64 {
         let mut world = NullWorld::default();
@@ -675,6 +763,194 @@ mod tests {
         let mut world = NullWorld::default();
         let err = Vm::run(&prog, &[], &mut maps, &mut world).unwrap_err();
         assert!(matches!(err, VmError::BadAddress { .. }));
+    }
+
+    /// `R0 = lookup(map, key at fp+key_off)`.
+    fn emit_lookup(b: &mut ProgramBuilder, map: MapId, key_off: i32) {
+        b.load_map(R1, map);
+        b.mov_reg(R2, R10);
+        b.alu_imm(AluOp::Add, R2, key_off as i64);
+        b.call(Helper::MapLookup);
+    }
+
+    /// `update(map, key at fp+key_off, value at fp+val_off)` or, with
+    /// `val_off` `None`, `delete(map, key at fp+key_off)`.
+    fn emit_write(b: &mut ProgramBuilder, map: MapId, key_off: i32, val_off: Option<i32>) {
+        b.load_map(R1, map);
+        b.mov_reg(R2, R10);
+        b.alu_imm(AluOp::Add, R2, key_off as i64);
+        match val_off {
+            Some(off) => {
+                b.mov_reg(R3, R10);
+                b.alu_imm(AluOp::Add, R3, off as i64);
+                b.mov_imm(R4, 0);
+                b.call(Helper::MapUpdate);
+            }
+            None => {
+                b.call(Helper::MapDelete);
+            }
+        }
+    }
+
+    /// A hash map holding key 7 → 100, and a program prefix that looks
+    /// key 7 up into R6 (key at fp-8, scratch value at fp-16).
+    fn pointer_setup() -> (MapRegistry, MapId, ProgramBuilder) {
+        let mut maps = MapRegistry::new();
+        let h = maps.create(MapDef::hash("h", 8, 8, 4));
+        maps.update(h, &7u64.to_le_bytes(), &100u64.to_le_bytes())
+            .unwrap();
+        let mut b = ProgramBuilder::new();
+        b.store_imm(Size::B8, R10, -8, 7);
+        emit_lookup(&mut b, h, -8);
+        b.mov_reg(R6, R0);
+        (maps, h, b)
+    }
+
+    #[test]
+    fn update_of_live_key_is_visible_through_earlier_pointer() {
+        let (mut maps, h, mut b) = pointer_setup();
+        b.store_imm(Size::B8, R10, -16, 555);
+        emit_write(&mut b, h, -8, Some(-16));
+        b.load(Size::B8, R0, R6, 0);
+        b.exit();
+        assert_eq!(run(b.resolve().unwrap(), &[], &mut maps), 555);
+    }
+
+    #[test]
+    fn access_after_delete_is_stale() {
+        let (mut maps, h, mut b) = pointer_setup();
+        emit_write(&mut b, h, -8, None);
+        b.load(Size::B8, R0, R6, 0);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let err = Vm::run(&prog, &[], &mut maps, &mut NullWorld::default()).unwrap_err();
+        assert!(matches!(err, VmError::StaleMapValue { .. }), "{err}");
+        // Stores fault the same way.
+        let (mut maps, h, mut b) = pointer_setup();
+        emit_write(&mut b, h, -8, None);
+        b.store_imm(Size::B8, R6, 0, 1);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let err = Vm::run(&prog, &[], &mut maps, &mut NullWorld::default()).unwrap_err();
+        assert!(matches!(err, VmError::StaleMapValue { .. }), "{err}");
+    }
+
+    #[test]
+    fn reinserted_key_is_reached_through_old_pointer() {
+        let (mut maps, h, mut b) = pointer_setup();
+        emit_write(&mut b, h, -8, None);
+        // Another key takes the freed slot first; key 7 lands elsewhere.
+        b.store_imm(Size::B8, R10, -24, 8);
+        b.store_imm(Size::B8, R10, -16, 888);
+        emit_write(&mut b, h, -24, Some(-16));
+        b.store_imm(Size::B8, R10, -16, 777);
+        emit_write(&mut b, h, -8, Some(-16));
+        b.load(Size::B8, R7, R6, 0);
+        b.alu_imm(AluOp::Add, R7, 1);
+        b.store_reg(Size::B8, R6, 0, R7);
+        b.mov_reg(R0, R7);
+        b.exit();
+        assert_eq!(run(b.resolve().unwrap(), &[], &mut maps), 778);
+        assert_eq!(zext(maps.lookup(h, &7u64.to_le_bytes()).unwrap()), 778);
+        assert_eq!(zext(maps.lookup(h, &8u64.to_le_bytes()).unwrap()), 888);
+    }
+
+    #[test]
+    fn lookups_count_helper_calls_and_pointer_accesses() {
+        let (mut maps, h, mut b) = pointer_setup(); // lookup: 1
+        b.load(Size::B8, R7, R6, 0); // 2
+        b.store_reg(Size::B8, R6, 0, R7); // 3
+        b.mov_reg(R2, R6); // key read through the pointer (4) misses (5)
+        b.load_map(R1, h);
+        b.call(Helper::MapLookup);
+        emit_write(&mut b, h, -8, None);
+        b.load(Size::B8, R7, R6, 0); // stale, still counted: 6
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let err = Vm::run(&prog, &[], &mut maps, &mut NullWorld::default()).unwrap_err();
+        assert!(matches!(err, VmError::StaleMapValue { .. }));
+        assert_eq!(maps.op_stats().lookups, 6);
+    }
+
+    #[test]
+    fn pointer_table_spills_past_inline_entries() {
+        // Ten live pointers at once, parked on the stack, then summed.
+        let mut maps = MapRegistry::new();
+        let h = maps.create(MapDef::hash("h", 8, 8, 16));
+        for k in 0..10u64 {
+            maps.update(h, &k.to_le_bytes(), &(k * 10).to_le_bytes())
+                .unwrap();
+        }
+        let mut b = ProgramBuilder::new();
+        for k in 0..10 {
+            b.store_imm(Size::B8, R10, -8, k);
+            emit_lookup(&mut b, h, -8);
+            b.store_reg(Size::B8, R10, -16 - 8 * k as i32, R0);
+        }
+        b.mov_imm(R7, 0);
+        for k in 0..10 {
+            b.load(Size::B8, R6, R10, -16 - 8 * k);
+            b.load(Size::B8, R6, R6, 0);
+            b.alu_reg(AluOp::Add, R7, R6);
+        }
+        b.mov_reg(R0, R7);
+        b.exit();
+        assert_eq!(run(b.resolve().unwrap(), &[], &mut maps), 450);
+    }
+
+    #[test]
+    fn keys_and_values_beyond_inline_buffers() {
+        // 40-byte keys (inline keys hold 16) and 600-byte values (helper
+        // copies hold 512 inline), sourced from the context.
+        let mut maps = MapRegistry::new();
+        let big = maps.create(MapDef::hash("big", 40, 600, 4));
+        let ring = maps.create(MapDef::perf_event_array("ring", 4));
+        let ctx: Vec<u8> = (0..700u32).map(|i| (i % 251) as u8).collect();
+        let mut b = ProgramBuilder::new();
+        b.mov_reg(R9, R1);
+        // update(big, ctx[0..40], ctx[100..700])
+        b.load_map(R1, big);
+        b.mov_reg(R2, R9);
+        b.mov_reg(R3, R9);
+        b.alu_imm(AluOp::Add, R3, 100);
+        b.mov_imm(R4, 0);
+        b.call(Helper::MapUpdate);
+        // p = lookup(big, ctx[0..40]); p[599] += 1; output p[0..600]
+        b.load_map(R1, big);
+        b.mov_reg(R2, R9);
+        b.call(Helper::MapLookup);
+        b.mov_reg(R6, R0);
+        b.load(Size::B1, R7, R6, 599);
+        b.alu_imm(AluOp::Add, R7, 1);
+        b.store_reg(Size::B1, R6, 599, R7);
+        b.load_map(R1, ring);
+        b.mov_reg(R2, R6);
+        b.mov_imm(R3, 600);
+        b.call(Helper::PerfEventOutput);
+        b.load(Size::B8, R0, R6, 0);
+        b.exit();
+        let r0 = run(b.resolve().unwrap(), &ctx, &mut maps);
+        let mut expect = ctx[100..700].to_vec();
+        expect[599] += 1;
+        assert_eq!(r0, zext(&expect[..8]));
+        assert_eq!(maps.lookup(big, &ctx[..40]).unwrap(), &expect[..]);
+        assert_eq!(maps.ring_drain(ring, 4), vec![expect]);
+    }
+
+    #[test]
+    fn huge_output_length_faults_without_allocating() {
+        let mut maps = MapRegistry::new();
+        let ring = maps.create(MapDef::perf_event_array("ring", 4));
+        let mut b = ProgramBuilder::new();
+        b.load_map(R1, ring);
+        b.mov_reg(R2, R10);
+        b.alu_imm(AluOp::Add, R2, -8);
+        b.mov_imm(R3, -1);
+        b.call(Helper::PerfEventOutput);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let err = Vm::run(&prog, &[], &mut maps, &mut NullWorld::default()).unwrap_err();
+        assert!(matches!(err, VmError::BadAddress { .. }), "{err}");
     }
 
     #[test]

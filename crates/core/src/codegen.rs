@@ -146,16 +146,23 @@ pub const CTX_WORDS: usize = 5 + MAX_PAYLOAD_WORDS;
 pub const CTX_BYTES: usize = CTX_WORDS * 8;
 
 /// Serialize a marker context for the Collector programs.
-pub fn encode_ctx(ou: u64, tid: u64, subsystem: u64, flags: u64, payload: &[u64]) -> Vec<u8> {
+pub fn encode_ctx(
+    ou: u64,
+    tid: u64,
+    subsystem: u64,
+    flags: u64,
+    payload: &[u64],
+) -> [u8; CTX_BYTES] {
     let n = payload.len().min(MAX_PAYLOAD_WORDS);
-    let mut words = [0u64; CTX_WORDS];
-    words[0] = ou;
-    words[1] = tid;
-    words[2] = subsystem;
-    words[3] = flags;
-    words[4] = n as u64;
-    words[5..5 + n].copy_from_slice(&payload[..n]);
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    let header = [ou, tid, subsystem, flags, n as u64];
+    let mut out = [0u8; CTX_BYTES];
+    for (dst, w) in out
+        .chunks_exact_mut(8)
+        .zip(header.iter().chain(&payload[..n]))
+    {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    out
 }
 
 // Stack frame offsets shared by the generated programs.

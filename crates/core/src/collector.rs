@@ -958,7 +958,7 @@ impl TScout {
         }
         let bytes = encode_record(rec);
         k.user_emit_path.acquire(now, hold);
-        let _ = self.loader.maps.ring_push(self.ring, &bytes);
+        let _ = self.loader.maps.ring_push(self.ring, bytes);
         self.stats.samples_emitted += 1;
         if let Some(id) = trace {
             self.telemetry

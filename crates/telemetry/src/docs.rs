@@ -372,7 +372,7 @@ pub const METRIC_DOCS: &[(&str, &str, &str)] = &[
     (
         "tscout_map_lookups",
         "gauge",
-        "BPF map lookup operations (per map)",
+        "BPF map lookup operations (per map); one per map_lookup_elem call plus one per load, store or helper argument through a map-value pointer",
     ),
     (
         "tscout_map_stack_pops",

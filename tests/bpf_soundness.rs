@@ -6,6 +6,9 @@
 //! context bytes. Conversely the verifier must never panic on garbage
 //! programs. Random programs are generated over the full instruction
 //! set, biased toward plausible shapes so a useful fraction verifies.
+//! Finally the interpreter must be total on its own: unverified programs
+//! with map helpers and wild or stale pointers end in `Ok` or a
+//! `VmError`, never a panic.
 //!
 //! Originally `proptest` properties; now driven by the in-workspace
 //! deterministic RNG (fixed seeds, fixed case counts) so the suite
@@ -15,7 +18,9 @@ use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 
 use tscout_suite::bpf::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use tscout_suite::bpf::maps::MapDef;
-use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
+use tscout_suite::bpf::vm::{
+    NullWorld, Vm, VmError, CTX_BASE, HANDLE_BASE, MAPV_BASE, STACK_BASE, STACK_SIZE,
+};
 use tscout_suite::bpf::{verify, MapId, MapRegistry};
 
 fn maps() -> MapRegistry {
@@ -237,9 +242,254 @@ fn stack_round_trip() {
     }
 }
 
-/// VmError is only used via its Display in the panic path above; keep a
-/// compile-time reference so the import carries its weight.
-#[allow(dead_code)]
-fn _uses(e: VmError) -> String {
-    e.to_string()
+// ---------------------------------------------------------------------
+// Untrusted programs: the VM itself must be total.
+// ---------------------------------------------------------------------
+
+/// Maps for the untrusted-program loop: every kind, plus a hash map whose
+/// keys and values exceed any inline buffer in the VM or the maps.
+fn robust_maps() -> MapRegistry {
+    let mut m = MapRegistry::new();
+    m.create(MapDef::hash("h", 8, 16, 4));
+    m.create(MapDef::array("a", 8, 4));
+    m.create(MapDef::stack("s", 8, 8));
+    m.create(MapDef::perf_event_array("r", 16));
+    m.create(MapDef::hash("big", 40, 600, 4));
+    m
+}
+
+/// Map ids 0..=6: the five real maps and two that do not exist.
+fn arb_map(rng: &mut StdRng) -> MapId {
+    MapId(rng.random_range(0u32..7))
+}
+
+const KEY_OFF: i32 = -48; // 40-byte key window (8-byte keys use its start)
+const VAL_OFF: i32 = -112; // 64 bytes of value scratch below the key
+
+/// A register value a helper or access might see: stack and context
+/// pointers, map handles (valid or not), and wild map-value pointers into
+/// dereference entries that may never have been created.
+fn arb_ptr(rng: &mut StdRng) -> i64 {
+    (match rng.random_range(0..6) {
+        0 => STACK_BASE + STACK_SIZE as u64 - rng.random_range(0u64..600),
+        1 => CTX_BASE + rng.random_range(0u64..720),
+        2 => HANDLE_BASE | rng.random_range(0u64..7),
+        3 => MAPV_BASE + (rng.random_range(0u64..6) << 32) + rng.random_range(0u64..24),
+        4 => MAPV_BASE + (rng.random_range(0u64..3) << 32) + (rng.random::<u64>() & 0xFFFF_FFFF),
+        _ => rng.random::<u64>(),
+    }) as i64
+}
+
+fn mov(dst: Reg, v: i64) -> Insn {
+    Insn::Alu {
+        op: AluOp::Mov,
+        dst,
+        src: Src::Imm(v),
+    }
+}
+
+fn fp_ptr(out: &mut Vec<Insn>, dst: Reg, off: i32) {
+    out.push(Insn::Alu {
+        op: AluOp::Mov,
+        dst,
+        src: Src::Reg(Reg(10)),
+    });
+    out.push(Insn::Alu {
+        op: AluOp::Add,
+        dst,
+        src: Src::Imm(off as i64),
+    });
+}
+
+/// One fragment of an untrusted program: mostly well-shaped helper calls
+/// over a few small keys (so lookups hit, and deletes and re-inserts
+/// churn slots under live pointers), saved-pointer accesses, wild
+/// pointers, and raw random instructions.
+fn arb_fragment(rng: &mut StdRng, out: &mut Vec<Insn>) {
+    let saved = Reg(rng.random_range(6u8..9));
+    match rng.random_range(0..12) {
+        0..=2 => {
+            // A map helper over a small key.
+            store_key(rng, out);
+            out.push(Insn::LoadMap {
+                dst: Reg(1),
+                map: arb_map(rng),
+            });
+            fp_ptr(out, Reg(2), KEY_OFF);
+            let helper = [
+                Helper::MapLookup,
+                Helper::MapLookup,
+                Helper::MapUpdate,
+                Helper::MapDelete,
+            ][rng.random_range(0..4usize)];
+            if helper == Helper::MapUpdate {
+                arb_value_ptr(rng, out);
+            }
+            out.push(Insn::Call { helper });
+            if helper == Helper::MapLookup {
+                out.push(Insn::Alu {
+                    op: AluOp::Mov,
+                    dst: saved,
+                    src: Src::Reg(Reg(0)),
+                });
+            }
+        }
+        3 => {
+            // Access through a saved (possibly stale) value pointer.
+            let size = SIZES[rng.random_range(0..SIZES.len())];
+            let off = rng.random_range(-4i32..24);
+            out.push(if rng.random_bool(0.5) {
+                Insn::Load {
+                    size,
+                    dst: Reg(0),
+                    base: saved,
+                    off,
+                }
+            } else {
+                Insn::Store {
+                    size,
+                    base: saved,
+                    off,
+                    src: Src::Imm(rng.random_range(-600i64..600)),
+                }
+            });
+        }
+        4 => {
+            // A helper with wild pointer / handle / length arguments.
+            for r in 1..=3 {
+                out.push(mov(Reg(r), arb_ptr(rng)));
+            }
+            if rng.random_bool(0.5) {
+                out.push(Insn::LoadMap {
+                    dst: Reg(1),
+                    map: arb_map(rng),
+                });
+            }
+            if rng.random_bool(0.5) {
+                out.push(mov(Reg(3), rng.random_range(0i64..700)));
+            }
+            if rng.random_bool(0.3) {
+                out.push(Insn::Alu {
+                    op: AluOp::Mov,
+                    dst: Reg(2 + rng.random_range(0u8..2)),
+                    src: Src::Reg(saved),
+                });
+            }
+            out.push(Insn::Call {
+                helper: HELPERS[rng.random_range(0..HELPERS.len())],
+            });
+        }
+        5 => {
+            // Wild map-value pointer, then an access through it.
+            out.push(mov(saved, arb_ptr(rng)));
+            out.push(Insn::Load {
+                size: SIZES[rng.random_range(0..SIZES.len())],
+                dst: Reg(0),
+                base: saved,
+                off: rng.random_range(-8i32..32),
+            });
+        }
+        6..=9 => {
+            // Look up, maybe delete and maybe re-insert the same key,
+            // then use the pointer taken before.
+            let map = MapId([0, 0, 1, 4][rng.random_range(0..4usize)]);
+            store_key(rng, out);
+            out.push(Insn::LoadMap { dst: Reg(1), map });
+            fp_ptr(out, Reg(2), KEY_OFF);
+            out.push(Insn::Call {
+                helper: Helper::MapLookup,
+            });
+            out.push(Insn::Alu {
+                op: AluOp::Mov,
+                dst: saved,
+                src: Src::Reg(Reg(0)),
+            });
+            let mut helpers = vec![Helper::MapDelete];
+            if rng.random_bool(0.4) {
+                helpers.push(Helper::MapUpdate);
+            }
+            for helper in helpers {
+                out.push(Insn::LoadMap { dst: Reg(1), map });
+                fp_ptr(out, Reg(2), KEY_OFF);
+                if helper == Helper::MapUpdate {
+                    arb_value_ptr(rng, out);
+                }
+                out.push(Insn::Call { helper });
+            }
+            out.push(Insn::Load {
+                size: Size::B8,
+                dst: Reg(0),
+                base: saved,
+                off: 0,
+            });
+        }
+        _ => out.push(arb_insn(rng)),
+    }
+}
+
+/// A small key (0..5) in all five words of the key window, so the
+/// 40-byte map sees it too.
+fn store_key(rng: &mut StdRng, out: &mut Vec<Insn>) {
+    let k = rng.random_range(0i64..5);
+    for w in 0..5 {
+        out.push(Insn::Store {
+            size: Size::B8,
+            base: Reg(10),
+            off: KEY_OFF + 8 * w,
+            src: Src::Imm(if w == 0 { k } else { 0 }),
+        });
+    }
+}
+
+/// `R3` for `map_update_elem`: stack scratch, the context (the only
+/// source long enough for the 600-byte map), or anything at all.
+fn arb_value_ptr(rng: &mut StdRng, out: &mut Vec<Insn>) {
+    match rng.random_range(0..10) {
+        0..=5 => fp_ptr(out, Reg(3), VAL_OFF),
+        6..=8 => out.push(mov(Reg(3), CTX_BASE as i64)),
+        _ => out.push(mov(Reg(3), arb_ptr(rng))),
+    }
+}
+
+/// The VM never panics, whatever it is handed: ≥20k unverified programs
+/// with map helpers, wild value and handle pointers, stale dereference
+/// indices, and keys and values larger than any inline buffer. Each run
+/// returns `Ok` or a `VmError`. Maps persist across 64 programs at a
+/// time, so slots are freed, reused and cleared under old pointers.
+#[test]
+fn unverified_programs_never_panic_the_vm() {
+    let mut rng = StdRng::seed_from_u64(0x0BAD_B0F5);
+    let (mut ok, mut stale, mut bad_args) = (0usize, 0usize, 0usize);
+    let mut lookups = 0u64;
+    for _ in 0..320 {
+        let mut m = robust_maps();
+        for case in 0..64 {
+            let mut prog = Vec::new();
+            for _ in 0..rng.random_range(1usize..16) {
+                arb_fragment(&mut rng, &mut prog);
+            }
+            prog.push(Insn::Exit);
+            let ctx: Vec<u8> = (0..rng.random_range(0usize..720))
+                .map(|_| rng.random_range(0u8..=255))
+                .collect();
+            let mut world = NullWorld::default();
+            match Vm::run(&prog, &ctx, &mut m, &mut world) {
+                Ok(_) => ok += 1,
+                Err(VmError::StaleMapValue { .. }) => stale += 1,
+                Err(VmError::BadHelperArgs { .. }) => bad_args += 1,
+                Err(_) => {}
+            }
+            if case % 16 == 15 {
+                m.clear(MapId(rng.random_range(0u32..5)));
+            }
+            m.ring_drain(MapId(3), 8);
+        }
+        lookups += m.op_stats().lookups;
+    }
+    // Not vacuous: runs complete, pointers go stale, bad handles are
+    // caught, and map values are reached.
+    assert!(ok > 1000, "only {ok} runs completed");
+    assert!(stale > 300, "only {stale} stale-pointer faults");
+    assert!(bad_args > 1000, "only {bad_args} bad-handle faults");
+    assert!(lookups > 10_000, "only {lookups} lookups");
 }
