@@ -9,7 +9,7 @@
 //! tscout/dbms overhead ratio, archive pressure) and emits typed
 //! actions through the [`DbmsActuator`] trait.
 //!
-//! **Policy evaluation order** (documented in DESIGN.md §2.14; fixed so
+//! **Policy evaluation order** (documented in DESIGN.md §2.13; fixed so
 //! runs are reproducible and policies can assume their predecessors ran
 //! first this tick):
 //!

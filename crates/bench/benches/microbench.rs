@@ -93,228 +93,6 @@ fn bpf_vm(out: &mut Results) {
     });
 }
 
-/// Compare bounded-loop vs fully-unrolled Collector codegen: instruction
-/// counts, verifier effort, execution time, and a bit-identical sample
-/// check. Returns the `BENCH_3.json` document (schema in README.md).
-fn codegen_loops(out: &mut Results) -> String {
-    use tscout::codegen::{
-        encode_ctx, gen_begin_with, gen_end_with, gen_features_with, CodegenOptions, ProbeLayout,
-        CTX_BYTES,
-    };
-    use tscout_bpf::{verify_with_stats, MapId, VerifyStats};
-
-    let probes = ProbeLayout {
-        cpu: true,
-        disk: true,
-        net: true,
-    };
-    let make_maps = |probes: &ProbeLayout| -> (MapRegistry, MapId, MapId, MapId, MapId) {
-        let mut maps = MapRegistry::new();
-        let depth = maps.create(MapDef::hash("d", 8, 8, 256));
-        let begin = maps.create(MapDef::hash("b", 8, probes.snap_words() * 8, 1024));
-        let done = maps.create(MapDef::hash("dn", 8, probes.done_words() * 8, 256));
-        let ring = maps.create(MapDef::perf_event_array("r", 1024));
-        (maps, depth, begin, done, ring)
-    };
-    let ctx = encode_ctx(1, 42, 0, 0, &[7, 8, 9]);
-
-    // Generate, verify, and run the pipeline once per mode; capture the
-    // raw ring bytes so the modes can be compared bit for bit.
-    let mut progsets: Vec<[Vec<tscout_bpf::Insn>; 3]> = Vec::new();
-    let mut stats: Vec<[VerifyStats; 3]> = Vec::new();
-    let mut rings: Vec<Vec<Vec<u8>>> = Vec::new();
-    for unroll_loops in [false, true] {
-        let opts = CodegenOptions { unroll_loops };
-        let (mut maps, depth, begin, done, ring) = make_maps(&probes);
-        let progs = [
-            gen_begin_with(&probes, depth, begin, opts),
-            gen_end_with(&probes, depth, begin, done, opts),
-            gen_features_with(&probes, done, ring, opts),
-        ];
-        stats.push([0, 1, 2].map(|i| verify_with_stats(&progs[i], &maps, CTX_BYTES).unwrap()));
-        let mut world = NullWorld {
-            time_ns: 100,
-            pid_tgid: 42,
-        };
-        Vm::run(&progs[0], &ctx, &mut maps, &mut world).unwrap();
-        world.time_ns = 900;
-        Vm::run(&progs[1], &ctx, &mut maps, &mut world).unwrap();
-        Vm::run(&progs[2], &ctx, &mut maps, &mut world).unwrap();
-        rings.push(maps.ring_drain(ring, 16));
-        progsets.push(progs);
-    }
-    let bit_identical = rings[0] == rings[1];
-    assert!(
-        bit_identical,
-        "loop and unrolled samples must match bit for bit"
-    );
-
-    let names = ["begin", "end", "features"];
-    for (i, name) in names.iter().enumerate() {
-        println!(
-            "codegen_{name}: {} insns (bounded loops) vs {} (unrolled)",
-            progsets[0][i].len(),
-            progsets[1][i].len()
-        );
-    }
-
-    // Execution and verification cost of each mode (END is the largest
-    // program; BEGIN keeps the depth/begin maps balanced between runs).
-    for (mode, progs) in [("loops", &progsets[0]), ("unrolled", &progsets[1])] {
-        let (mut maps, ..) = make_maps(&probes);
-        let mut world = NullWorld {
-            time_ns: 100,
-            pid_tgid: 42,
-        };
-        bench(out, &format!("bpf_begin_end_pair/{mode}"), 20_000, || {
-            Vm::run(&progs[0], &ctx, &mut maps, &mut world).unwrap();
-            Vm::run(&progs[1], &ctx, &mut maps, &mut world).unwrap();
-        });
-        bench(out, &format!("bpf_verify_collector/{mode}"), 2_000, || {
-            tscout_bpf::verify(black_box(&progs[1]), &maps, CTX_BYTES).unwrap();
-        });
-    }
-
-    let mut j = String::from("{\n");
-    for (i, name) in names.iter().enumerate() {
-        j.push_str(&format!(
-            "  \"{name}\": {{\"insns_loops\": {}, \"insns_unrolled\": {}, \
-             \"verify_insns_visited_loops\": {}, \"verify_insns_visited_unrolled\": {}, \
-             \"verify_states_loops\": {}, \"verify_states_unrolled\": {}, \
-             \"verify_states_pruned_loops\": {}, \"verify_peak_depth_loops\": {}}},\n",
-            progsets[0][i].len(),
-            progsets[1][i].len(),
-            stats[0][i].insns_visited,
-            stats[1][i].insns_visited,
-            stats[0][i].states_explored,
-            stats[1][i].states_explored,
-            stats[0][i].states_pruned,
-            stats[0][i].peak_depth,
-        ));
-    }
-    j.push_str(&format!(
-        "  \"samples_bit_identical\": {bit_identical}\n}}\n"
-    ));
-    j
-}
-
-/// Optimized vs unoptimized Collector programs: static and *executed*
-/// instruction counts, begin/end-pair and full sampled-triple
-/// execution time, and a bit-identical sample check. Returns the
-/// `BENCH_8.json` document (schema in README.md).
-fn optimizer_wins(out: &mut Results) -> String {
-    use tscout::codegen::{encode_ctx, gen_begin, gen_end, gen_features, ProbeLayout, CTX_BYTES};
-    use tscout_bpf::opt::{optimize, OptOptions};
-    use tscout_bpf::MapId;
-
-    let probes = ProbeLayout {
-        cpu: true,
-        disk: true,
-        net: true,
-    };
-    let make_maps = |probes: &ProbeLayout| -> (MapRegistry, [MapId; 4]) {
-        let mut maps = MapRegistry::new();
-        let depth = maps.create(MapDef::hash("d", 8, 8, 256));
-        let begin = maps.create(MapDef::hash("b", 8, probes.snap_words() * 8, 1024));
-        let done = maps.create(MapDef::hash("dn", 8, probes.done_words() * 8, 256));
-        let ring = maps.create(MapDef::perf_event_array("r", 1024));
-        (maps, [depth, begin, done, ring])
-    };
-    let (maps0, [depth, begin, done, ring0]) = make_maps(&probes);
-    let plain = [
-        gen_begin(&probes, depth, begin),
-        gen_end(&probes, depth, begin, done),
-        gen_features(&probes, done, ring0),
-    ];
-    let optimized = [0, 1, 2].map(|i| {
-        optimize(&plain[i], &maps0, CTX_BYTES, &OptOptions::default())
-            .expect("collector programs optimize")
-    });
-    let opt_progs = [0, 1, 2].map(|i| optimized[i].insns.clone());
-
-    // One sampled triple per mode, capturing executed insns and bytes.
-    let ctx = encode_ctx(1, 42, 0, 0, &[7, 8, 9]);
-    let mut executed = [[0u64; 3]; 2];
-    let mut rings: Vec<Vec<Vec<u8>>> = Vec::new();
-    for (mode, progs) in [(0usize, &plain), (1usize, &opt_progs)] {
-        let (mut maps, ids) = make_maps(&probes);
-        let mut world = NullWorld {
-            time_ns: 100,
-            pid_tgid: 42,
-        };
-        for (i, prog) in progs.iter().enumerate() {
-            if i == 1 {
-                world.time_ns = 900;
-            }
-            let (r0, s) = Vm::run(prog, &ctx, &mut maps, &mut world).unwrap();
-            assert_eq!(r0, 0);
-            executed[mode][i] = s.insns;
-        }
-        rings.push(maps.ring_drain(ids[3], 16));
-    }
-    let bit_identical = rings[0] == rings[1];
-    assert!(bit_identical, "optimized samples must match bit for bit");
-
-    // Wall-clock cost of each mode.
-    for (mode, progs) in [("unoptimized", &plain), ("optimized", &opt_progs)] {
-        let (mut maps, _) = make_maps(&probes);
-        let mut world = NullWorld {
-            time_ns: 100,
-            pid_tgid: 42,
-        };
-        bench(out, &format!("bpf_begin_end_pair/{mode}"), 20_000, || {
-            Vm::run(&progs[0], &ctx, &mut maps, &mut world).unwrap();
-            Vm::run(&progs[1], &ctx, &mut maps, &mut world).unwrap();
-        });
-        bench(out, &format!("bpf_sampled_triple/{mode}"), 20_000, || {
-            Vm::run(&progs[0], &ctx, &mut maps, &mut world).unwrap();
-            Vm::run(&progs[1], &ctx, &mut maps, &mut world).unwrap();
-            Vm::run(&progs[2], &ctx, &mut maps, &mut world).unwrap();
-        });
-    }
-
-    let names = ["begin", "end", "features"];
-    let mut j = String::from("{\n");
-    for (i, name) in names.iter().enumerate() {
-        let (before, after) = (executed[0][i], executed[1][i]);
-        let pct = 100.0 * (before - after) as f64 / before as f64;
-        println!(
-            "optimizer_{name}: {} -> {} insns static, {before} -> {after} executed ({pct:.1}% fewer)",
-            plain[i].len(),
-            optimized[i].insns.len(),
-        );
-        j.push_str(&format!(
-            "  \"{name}\": {{\"insns_before\": {}, \"insns_after\": {}, \
-             \"executed_before\": {before}, \"executed_after\": {after}, \
-             \"executed_reduction_pct\": {pct:.1}, \
-             \"loops_unrolled\": {}, \"opt_iterations\": {}}},\n",
-            plain[i].len(),
-            optimized[i].insns.len(),
-            optimized[i].stats.loops_unrolled,
-            optimized[i].stats.iterations,
-        ));
-    }
-    let t = |name: &str| {
-        out.iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0)
-    };
-    j.push_str(&format!(
-        "  \"bpf_begin_end_pair_unoptimized_ns\": {:.1},\n  \
-         \"bpf_begin_end_pair_optimized_ns\": {:.1},\n  \
-         \"bpf_sampled_triple_unoptimized_ns\": {:.1},\n  \
-         \"bpf_sampled_triple_optimized_ns\": {:.1},\n  \
-         \"samples_bit_identical\": {bit_identical}\n}}\n",
-        t("bpf_begin_end_pair/unoptimized"),
-        t("bpf_begin_end_pair/optimized"),
-        t("bpf_sampled_triple/unoptimized"),
-        t("bpf_sampled_triple/optimized"),
-    ));
-    j
-}
-
 fn sampler(out: &mut Results) {
     let mut s = tscout::Sampler::new(1);
     s.set_rate(Subsystem::ExecutionEngine, 10);
@@ -1079,8 +857,6 @@ fn main() {
     let mut out = Results::new();
     marker_triple(&mut out);
     bpf_vm(&mut out);
-    let bench3 = codegen_loops(&mut out);
-    let bench8 = optimizer_wins(&mut out);
     sampler(&mut out);
     indexes(&mut out);
     records(&mut out);
@@ -1095,9 +871,6 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json");
     std::fs::write(path, to_json(&out)).expect("cannot write BENCH_2.json");
     println!("bench results -> {path}");
-    let path3 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_3.json");
-    std::fs::write(path3, bench3).expect("cannot write BENCH_3.json");
-    println!("codegen loop-vs-unroll results -> {path3}");
     let path4 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_4.json");
     std::fs::write(path4, bench4).expect("cannot write BENCH_4.json");
     println!("archive append/scan results -> {path4}");
@@ -1110,9 +883,6 @@ fn main() {
     let path7 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
     std::fs::write(path7, bench7).expect("cannot write BENCH_7.json");
     println!("query-stats cost results -> {path7}");
-    let path8 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path8, bench8).expect("cannot write BENCH_8.json");
-    println!("optimizer win results -> {path8}");
     let path9 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
     std::fs::write(path9, bench9).expect("cannot write BENCH_9.json");
     println!("action-engine cost results -> {path9}");

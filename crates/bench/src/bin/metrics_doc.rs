@@ -159,17 +159,16 @@ fn main() {
         eprintln!("FAIL: metric `{name}` is registered at runtime but not in METRIC_DOCS");
         failed = true;
     }
-    // Stale direction for the tracing plane, the load-time optimizer,
-    // and the action engine: every documented trace / flight-recorder /
-    // optimizer / action metric must actually register during the
-    // traced smoke — a renamed or removed metric fails here.
+    // Stale direction for the tracing plane, the action engine and the
+    // operator plane: every documented trace / flight-recorder / action /
+    // obsd metric must actually register during the traced smoke — a
+    // renamed or removed metric fails here.
     let stale: Vec<&str> = METRIC_DOCS
         .iter()
         .map(|(n, _, _)| *n)
         .filter(|n| {
             n.starts_with("tscout_trace")
                 || n.starts_with("ts_flightrec")
-                || n.starts_with("tscout_opt")
                 || n.starts_with("tscout_action")
                 || n.starts_with("tscout_obsd")
         })

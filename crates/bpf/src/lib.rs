@@ -7,9 +7,8 @@
 //! * [`insn`] — a register ISA modeled on eBPF: eleven registers
 //!   (`R0`–`R10`), 64-bit ALU, sized loads/stores, bidirectional jumps,
 //!   helper calls, and `exit`.
-//! * [`asm`] — a label-based program builder. TScout's Codegen emits real
-//!   bytecode through it, including bounded loops for per-counter
-//!   snapshotting (unrolling remains available as a fallback mode).
+//! * [`asm`] — a label-based program builder with forward and backward
+//!   jumps. TScout's Codegen emits real bytecode through it.
 //! * [`tnum`] — tristate numbers, the kernel verifier's known-bits
 //!   abstract domain, used by the verifier's scalar value tracking.
 //! * [`verifier`] — a range-tracking abstract interpreter in the spirit
@@ -28,13 +27,7 @@
 //!   everything defensively; helper calls reach the simulated kernel
 //!   through the [`vm::HelperWorld`] trait, which keeps this crate
 //!   independent of `tscout-kernel`.
-//! * [`opt`] — a load-time optimizer seeded by verifier facts: CFG and
-//!   dominator discovery, liveness and reaching-definitions dataflow,
-//!   constant/copy propagation, dead-arm branch folding, redundant
-//!   bounds-check elision, dead-code/dead-store elimination, peephole
-//!   simplification, and bounded-loop unrolling — every collector
-//!   program is shortened before interpretation, and must re-verify.
-//! * [`loader`] — load → verify → optimize → attach lifecycle, including
+//! * [`loader`] — load → verify → attach lifecycle, including
 //!   detach and reload for dynamic feature selection (paper §5.4).
 //!
 //! The crate is deliberately self-contained (its only dependency is the
@@ -47,7 +40,6 @@ pub mod asm;
 pub mod insn;
 pub mod loader;
 pub mod maps;
-pub mod opt;
 pub mod tnum;
 pub mod verifier;
 pub mod vm;
@@ -56,7 +48,6 @@ pub use asm::ProgramBuilder;
 pub use insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 pub use loader::{LoadError, Loader, ProgId};
 pub use maps::{MapDef, MapId, MapKind, MapOpStats, MapRegistry, RingStats};
-pub use opt::{optimize, OptError, OptOptions, OptStats, Optimized, PASS_NAMES};
 pub use tnum::Tnum;
 pub use verifier::{verify, verify_with_log, verify_with_stats, VerifyError, VerifyStats};
 pub use vm::{ExecStats, HelperWorld, Vm, VmError};

@@ -1,18 +1,16 @@
-//! The program loader: load → verify → optimize → run, plus
-//! unload/reload.
+//! The program loader: load → verify → run, plus unload/reload.
 //!
 //! "During this loading step, the BPF subsystem verifies the program's
 //! safety, just-in-time compiles the bytecode to machine code, and
 //! transfers it into the kernel" (paper §2.3). Our loader verifies and
-//! then interprets; unload/reload supports TScout's dynamic feature
-//! selection (§5.4: "TS can dynamically unload BPF programs, modify them,
-//! and reload them").
+//! then interprets the program exactly as submitted; unload/reload
+//! supports TScout's dynamic feature selection (§5.4: "TS can
+//! dynamically unload BPF programs, modify them, and reload them").
 
 use tscout_telemetry::{FrameGuard, Profiler};
 
 use crate::insn::Insn;
 use crate::maps::MapRegistry;
-use crate::opt::{optimize, OptOptions, OptStats};
 use crate::verifier::{verify_with_log, VerifyError, VerifyStats};
 use crate::vm::{ExecStats, HelperWorld, Vm, VmError};
 
@@ -47,64 +45,26 @@ impl std::error::Error for LoadError {}
 #[derive(Debug, Clone)]
 pub struct LoadedProg {
     pub name: String,
-    /// The executable instruction stream (post-optimization when the
-    /// optimizer is enabled and succeeded).
     pub insns: Vec<Insn>,
     pub ctx_size: usize,
-    /// Instruction count as submitted, before any optimization.
-    pub insns_unoptimized: usize,
-    /// The optimizer's capped human-readable report, when it ran.
-    pub opt_report: Option<String>,
 }
 
 /// Owns the maps and the loaded programs — the "BPF subsystem".
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Loader {
     pub maps: MapRegistry,
     progs: Vec<Option<LoadedProg>>,
     verify_totals: VerifyStats,
     verify_runs: u64,
-    /// Run the load-time optimizer on every program (on by default;
-    /// the differential suite runs with it off to cross-check).
-    optimize: bool,
-    opt_options: OptOptions,
-    opt_totals: OptStats,
-    opt_fallbacks: u64,
     /// Optional sampling profiler for program-entry frames (the loader
     /// stays kernel-agnostic: the handle is injected by whoever owns
     /// both, e.g. TScout at attach time).
     profiler: Option<Profiler>,
 }
 
-impl Default for Loader {
-    fn default() -> Self {
-        Loader {
-            maps: MapRegistry::default(),
-            progs: Vec::new(),
-            verify_totals: VerifyStats::default(),
-            verify_runs: 0,
-            optimize: true,
-            opt_options: OptOptions::default(),
-            opt_totals: OptStats::default(),
-            opt_fallbacks: 0,
-            profiler: None,
-        }
-    }
-}
-
 impl Loader {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Toggle the load-time optimizer for subsequent `load` calls.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
-    /// Override the optimizer's tuning knobs.
-    pub fn set_opt_options(&mut self, opts: OptOptions) {
-        self.opt_options = opts;
     }
 
     /// Verify and load a program. The program may only be attached after a
@@ -126,47 +86,13 @@ impl Loader {
         self.verify_totals.paths_completed += stats.paths_completed;
         self.verify_totals.peak_depth = self.verify_totals.peak_depth.max(stats.peak_depth);
         self.verify_runs += 1;
-        // Optimize after verification: the pass pipeline consumes the
-        // verifier's facts and must re-verify its output. Failure falls
-        // back to the already-verified original — optimization is an
-        // upgrade, never a gate.
-        let insns_unoptimized = insns.len();
-        let (insns, opt_report) = if self.optimize {
-            match optimize(&insns, &self.maps, ctx_size, &self.opt_options) {
-                Ok(o) => {
-                    self.opt_totals.absorb(&o.stats);
-                    (o.insns, Some(o.report))
-                }
-                Err(e) => {
-                    self.opt_fallbacks += 1;
-                    (insns, Some(format!("optimizer fell back: {e}")))
-                }
-            }
-        } else {
-            (insns, None)
-        };
         let id = self.progs.len() as ProgId;
         self.progs.push(Some(LoadedProg {
             name: name.into(),
             insns,
             ctx_size,
-            insns_unoptimized,
-            opt_report,
         }));
         Ok(id)
-    }
-
-    /// Cumulative optimizer statistics across every load (per-pass
-    /// removal counts, fixed-point iterations, before/after sizes).
-    pub fn opt_totals(&self) -> OptStats {
-        self.opt_totals
-    }
-
-    /// Number of loads where the optimizer errored and the verified
-    /// original was used instead. Non-zero values indicate optimizer
-    /// bugs worth reporting — correctness is never at risk.
-    pub fn opt_fallbacks(&self) -> u64 {
-        self.opt_fallbacks
     }
 
     /// Cumulative verifier work across every successful `load`
@@ -314,63 +240,6 @@ mod tests {
         assert_eq!(folded.len(), 1);
         assert_eq!(folded[0].0, "bpf:prog:begin_ee");
         assert_eq!(folded[0].1.samples, 2);
-    }
-
-    #[test]
-    fn optimizer_shrinks_loaded_programs_and_reports() {
-        use crate::insn::{AluOp, Cond, Src, R6};
-        // A counted loop the optimizer collapses to a constant.
-        let prog = vec![
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst: R0,
-                src: Src::Imm(0),
-            },
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst: R6,
-                src: Src::Imm(0),
-            },
-            Insn::Jump {
-                cond: Some((Cond::Ge, R6, Src::Imm(4))),
-                off: 3,
-            },
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R0,
-                src: Src::Reg(R6),
-            },
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R6,
-                src: Src::Imm(1),
-            },
-            Insn::Jump {
-                cond: None,
-                off: -4,
-            },
-            Insn::Exit,
-        ];
-        let mut l = Loader::new();
-        let id = l.load("loopy", prog.clone(), 0).unwrap();
-        let loaded = l.get(id).unwrap();
-        assert_eq!(loaded.insns_unoptimized, 7);
-        assert!(loaded.insns.len() < 7, "got {:?}", loaded.insns);
-        assert!(loaded.opt_report.as_ref().unwrap().contains("insns out"));
-        assert!(l.opt_totals().removed_total() > 0);
-        assert_eq!(l.opt_fallbacks(), 0);
-        let mut w = NullWorld::default();
-        let (r0, _) = l.run(id, &[], &mut w).unwrap();
-        assert_eq!(r0, 6); // 0+1+2+3, same as unoptimized
-
-        // With the optimizer off, the program loads byte-for-byte as-is.
-        let mut l2 = Loader::new();
-        l2.set_optimize(false);
-        let id2 = l2.load("loopy", prog.clone(), 0).unwrap();
-        assert_eq!(l2.get(id2).unwrap().insns, prog);
-        assert!(l2.get(id2).unwrap().opt_report.is_none());
-        let (r0, _) = l2.run(id2, &[], &mut w).unwrap();
-        assert_eq!(r0, 6);
     }
 
     #[test]

@@ -110,11 +110,6 @@ pub struct TsConfig {
     /// (0 = off). The id travels out of band — record bytes are
     /// bit-identical with tracing on or off.
     pub trace_every: u64,
-    /// Run the load-time optimizer on every collector program (on by
-    /// default). Optimized programs must re-verify and emit
-    /// bit-identical samples; turning this off trades collection
-    /// overhead for a byte-for-byte codegen instruction stream.
-    pub optimize: bool,
 }
 
 impl TsConfig {
@@ -125,7 +120,6 @@ impl TsConfig {
             ring_capacity: 4096,
             sampler_seed: 0x7511,
             trace_every: 0,
-            optimize: true,
         }
     }
 
@@ -326,7 +320,6 @@ impl TScout {
     /// Setup Phase: codegen, verify, load, and attach the Collector.
     pub fn deploy(kernel: &mut Kernel, config: TsConfig) -> Result<TScout, TsError> {
         let mut loader = Loader::new();
-        loader.set_optimize(config.optimize);
         // Program executions show up in folded profiles as
         // `bpf:prog:<name>` frames when the kernel's profiler is enabled.
         loader.set_profiler(kernel.profiler.clone());
@@ -580,28 +573,6 @@ impl TScout {
             &[],
             self.stats.bpf_insns as f64,
         );
-        let o = self.loader.opt_totals();
-        t.gauge_set("tscout_opt_insns_before", &[], o.insns_before as f64);
-        t.gauge_set("tscout_opt_insns_after", &[], o.insns_after as f64);
-        t.gauge_set("tscout_opt_iterations", &[], o.iterations as f64);
-        t.gauge_set("tscout_opt_loops_unrolled", &[], o.loops_unrolled as f64);
-        t.gauge_set(
-            "tscout_opt_fallbacks_total",
-            &[],
-            self.loader.opt_fallbacks() as f64,
-        );
-        for (i, pass) in tscout_bpf::PASS_NAMES.iter().enumerate() {
-            t.gauge_set(
-                "tscout_opt_insns_removed_total",
-                &[("pass", pass)],
-                o.removed[i] as f64,
-            );
-            t.gauge_set(
-                "tscout_opt_insns_rewritten_total",
-                &[("pass", pass)],
-                o.rewritten[i] as f64,
-            );
-        }
     }
 
     /// Exact begun/delivered/lost totals across all subsystems.

@@ -819,19 +819,32 @@ mod tests {
         };
         let srv = ObsdServer::start(cfg, t).unwrap();
         let addr = srv.addr().to_string();
-        // Occupy the only worker with a half-open request (it blocks in
-        // read until the timeout).
-        let mut hog = TcpStream::connect(&addr).unwrap();
-        hog.write_all(b"GET /metrics HTTP/1.1\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // The next connection cannot be queued (capacity 0) and bounces.
-        let (status, _) = client::get(&addr, "/healthz").unwrap_or((503, String::new()));
-        assert_eq!(status, 503);
-        assert!(
+        let rejected = || {
             srv.self_telemetry()
                 .counter_total("tscout_obsd_rejected_total")
-                >= 1
-        );
+        };
+        // Occupy the only worker with a half-open request (it blocks in
+        // read until the timeout). With a zero-capacity queue a
+        // connection is only handed over while the worker is parked in
+        // `recv`, so a hog that arrives before the worker thread gets
+        // there is itself bounced; retry until one is taken.
+        let mut hog = None;
+        for _ in 0..50 {
+            let before = rejected();
+            let mut s = TcpStream::connect(&addr).unwrap();
+            s.write_all(b"GET /metrics HTTP/1.1\r\n").unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            if rejected() == before {
+                hog = Some(s);
+                break;
+            }
+        }
+        let hog = hog.expect("no hog connection reached the worker");
+        // The next connection cannot be queued (capacity 0) and bounces.
+        let before = rejected();
+        let (status, _) = client::get(&addr, "/healthz").unwrap_or((503, String::new()));
+        assert_eq!(status, 503);
+        assert_eq!(rejected(), before + 1);
         drop(hog);
         // After the hog times out the worker frees up and serving resumes.
         std::thread::sleep(Duration::from_millis(500));

@@ -415,41 +415,6 @@ pub const METRIC_DOCS: &[(&str, &str, &str)] = &[
         "Operator-plane HTTP requests served, per endpoint (server-side registry)",
     ),
     (
-        "tscout_opt_fallbacks_total",
-        "gauge",
-        "Loads where the optimizer errored and the verified original ran instead",
-    ),
-    (
-        "tscout_opt_insns_after",
-        "gauge",
-        "Collector program instructions after load-time optimization (sum)",
-    ),
-    (
-        "tscout_opt_insns_before",
-        "gauge",
-        "Collector program instructions before load-time optimization (sum)",
-    ),
-    (
-        "tscout_opt_insns_removed_total",
-        "gauge",
-        "Instructions removed by the load-time optimizer, per pass",
-    ),
-    (
-        "tscout_opt_insns_rewritten_total",
-        "gauge",
-        "Instructions rewritten in place by the load-time optimizer, per pass",
-    ),
-    (
-        "tscout_opt_iterations",
-        "gauge",
-        "Optimizer fixed-point pipeline iterations across all loads",
-    ),
-    (
-        "tscout_opt_loops_unrolled",
-        "gauge",
-        "Bounded loops structurally unrolled at load time",
-    ),
-    (
         "tscout_ou_samples_begun_total",
         "counter",
         "OU collections begun, per OU — the loss-accounting numerator",

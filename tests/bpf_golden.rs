@@ -1,10 +1,10 @@
 //! Golden lock for the BPF layer: exact, cross-commit pins.
 //!
-//! Every collector triple (BEGIN / END / FEATURES) over all eight probe
-//! layouts × {bounded-loop, unrolled} codegen × optimizer {off, on} runs
-//! one seeded marker script — three threads, nested OUs, occasional
-//! out-of-order markers followed by the Collector's reset — through the
-//! real `Loader`. Each configuration is reduced to three numbers:
+//! The collector triple (BEGIN / END / FEATURES) for each of the eight
+//! probe layouts runs one seeded marker script — three threads, nested
+//! OUs, occasional out-of-order markers followed by the Collector's
+//! reset — through the real `Loader`. Each layout is reduced to three
+//! numbers:
 //!
 //! * `data`: CRC-32 of every ring record (drained, evicted and still
 //!   queued), the ring statistics, and `dump()` of every map at the end;
@@ -14,10 +14,10 @@
 //!   separately so a mismatch reads at a glance).
 //!
 //! The constants were captured before the VM's memory model was reworked
-//! to slot handles; any change to executed instructions, map-op counts,
-//! sample bytes or final map state shows up here. Codegen and optimizer
-//! choices are observationally neutral, so `data` must also agree across
-//! the four variants of one layout.
+//! to slot handles, and `data` was the same then for the bounded-loop
+//! and unrolled codegen forms with and without a load-time optimizer.
+//! Any change to executed instructions, map-op counts, sample bytes or
+//! final map state shows up here.
 //!
 //! On a mismatch the test prints the full table in source form.
 
@@ -27,8 +27,7 @@ use tscout_suite::bpf::vm::HelperWorld;
 use tscout_suite::bpf::{ExecStats, Loader, MapId};
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 use tscout_suite::tscout::codegen::{
-    encode_ctx, gen_begin_with, gen_end_with, gen_features_with, CodegenOptions, ProbeLayout,
-    CTX_BYTES,
+    encode_ctx, gen_begin, gen_end, gen_features, ProbeLayout, CTX_BYTES,
 };
 
 /// Deterministic kernel facilities: every reading moves with a private
@@ -99,12 +98,8 @@ fn layout(bits: usize) -> ProbeLayout {
     }
 }
 
-fn run_config(p: &ProbeLayout, unroll: bool, optimize: bool) -> Outcome {
-    let opts = CodegenOptions {
-        unroll_loops: unroll,
-    };
+fn run_layout(p: &ProbeLayout) -> Outcome {
     let mut loader = Loader::new();
-    loader.set_optimize(optimize);
     let depth = loader.maps.create(MapDef::hash("depth", 8, 8, 256));
     let begin_map = loader
         .maps
@@ -117,25 +112,13 @@ fn run_config(p: &ProbeLayout, unroll: bool, optimize: bool) -> Outcome {
         .create(MapDef::perf_event_array("ring", RING_CAPACITY));
     let progs = [
         loader
-            .load(
-                "begin",
-                gen_begin_with(p, depth, begin_map, opts),
-                CTX_BYTES,
-            )
+            .load("begin", gen_begin(p, depth, begin_map), CTX_BYTES)
             .expect("begin loads"),
         loader
-            .load(
-                "end",
-                gen_end_with(p, depth, begin_map, done, opts),
-                CTX_BYTES,
-            )
+            .load("end", gen_end(p, depth, begin_map, done), CTX_BYTES)
             .expect("end loads"),
         loader
-            .load(
-                "features",
-                gen_features_with(p, done, ring, opts),
-                CTX_BYTES,
-            )
+            .load("features", gen_features(p, done, ring), CTX_BYTES)
             .expect("features loads"),
     ];
 
@@ -259,49 +242,25 @@ fn run_config(p: &ProbeLayout, unroll: bool, optimize: bool) -> Outcome {
     }
 }
 
-/// `(layout bits: cpu=1 disk=2 net=4, unroll, optimize, data, stats, insns)`.
+/// `(layout bits: cpu=1 disk=2 net=4, data, stats, insns)`.
 #[rustfmt::skip]
-const GOLDEN: [(usize, bool, bool, u32, u32, u64); 32] = [
-    (0, false, false, 0x0f1774c3, 0xfeedb1fa, 89092),
-    (0, false, true, 0x0f1774c3, 0x966c607a, 57696),
-    (0, true, false, 0x0f1774c3, 0xb24da272, 34572),
-    (0, true, true, 0x0f1774c3, 0x153cee8a, 34384),
-    (1, false, false, 0x12c97cdf, 0xa1cdfe0d, 166479),
-    (1, false, true, 0x12c97cdf, 0xa04c93cc, 98932),
-    (1, true, false, 0x12c97cdf, 0x7547c48d, 64420),
-    (1, true, true, 0x12c97cdf, 0xcb3e0f64, 64232),
-    (2, false, false, 0xf8816c55, 0x07994c64, 109251),
-    (2, false, true, 0xf8816c55, 0xefe53ec5, 68001),
-    (2, true, false, 0xf8816c55, 0xc22755cb, 40329),
-    (2, true, true, 0xf8816c55, 0x9d625e8a, 40141),
-    (3, false, false, 0xe2ae441f, 0x9070129a, 186262),
-    (3, false, true, 0xe2ae441f, 0x035874f2, 109989),
-    (3, true, false, 0xe2ae441f, 0x9fff771b, 70177),
-    (3, true, true, 0xe2ae441f, 0x574892f8, 69989),
-    (4, false, false, 0xb2d29996, 0x07994c64, 109251),
-    (4, false, true, 0xb2d29996, 0xefe53ec5, 68001),
-    (4, true, false, 0xb2d29996, 0xc22755cb, 40329),
-    (4, true, true, 0xb2d29996, 0x9d625e8a, 40141),
-    (5, false, false, 0xded04ad5, 0x9070129a, 186262),
-    (5, false, true, 0xded04ad5, 0x035874f2, 109989),
-    (5, true, false, 0xded04ad5, 0x9fff771b, 70177),
-    (5, true, true, 0xded04ad5, 0x574892f8, 69989),
-    (6, false, false, 0xa5513195, 0x166d63d9, 128652),
-    (6, false, true, 0xa5513195, 0xdb24b4cd, 79822),
-    (6, true, false, 0xa5513195, 0x24bfd74d, 46086),
-    (6, true, true, 0xa5513195, 0xf9a02903, 45898),
-    (7, false, false, 0x2a368b48, 0xaf2d36f2, 205663),
-    (7, false, true, 0x2a368b48, 0x8f8d8142, 121810),
-    (7, true, false, 0x2a368b48, 0xd1088998, 75934),
-    (7, true, true, 0x2a368b48, 0x15564eae, 75746),
+const GOLDEN: [(usize, u32, u32, u64); 8] = [
+    (0, 0x0f1774c3, 0xb24da272, 34572),
+    (1, 0x12c97cdf, 0x7547c48d, 64420),
+    (2, 0xf8816c55, 0xc22755cb, 40329),
+    (3, 0xe2ae441f, 0x9fff771b, 70177),
+    (4, 0xb2d29996, 0xc22755cb, 40329),
+    (5, 0xded04ad5, 0x9fff771b, 70177),
+    (6, 0xa5513195, 0x24bfd74d, 46086),
+    (7, 0x2a368b48, 0xd1088998, 75934),
 ];
 
 #[test]
 fn collector_triples_match_golden_digests() {
     let mut table = String::new();
     let mut mismatches = Vec::new();
-    for &(bits, unroll, optimize, data, stats, insns) in &GOLDEN {
-        let o = run_config(&layout(bits), unroll, optimize);
+    for &(bits, data, stats, insns) in &GOLDEN {
+        let o = run_layout(&layout(bits));
         assert!(o.samples > 0, "layout {bits}: script delivered no samples");
         assert!(o.resets > 0, "layout {bits}: script never reset a thread");
         assert!(
@@ -309,24 +268,15 @@ fn collector_triples_match_golden_digests() {
             "layout {bits}: ring never overwrote a record"
         );
         table.push_str(&format!(
-            "    ({bits}, {unroll}, {optimize}, {:#010x}, {:#010x}, {}),\n",
+            "    ({bits}, {:#010x}, {:#010x}, {}),\n",
             o.data, o.stats, o.insns
         ));
         if (o.data, o.stats, o.insns) != (data, stats, insns) {
-            mismatches.push((bits, unroll, optimize));
+            mismatches.push(bits);
         }
     }
     assert!(
         mismatches.is_empty(),
-        "BPF golden digests changed for {mismatches:?}; actual table:\n{table}"
+        "BPF golden digests changed for layouts {mismatches:?}; actual table:\n{table}"
     );
-    // Loop form, unrolling and the optimizer never change what a layout
-    // observably produces.
-    for group in GOLDEN.chunks(4) {
-        assert!(
-            group.iter().all(|g| g.3 == group[0].3),
-            "layout {} data digest differs across codegen/optimizer variants",
-            group[0].0
-        );
-    }
 }

@@ -9,9 +9,11 @@
 //! read, and no fuel exhaustion either, because the per-edge trip budget
 //! bounds total back-edge traversals well under the VM's fuel.
 //!
-//! The suite also pins the end-to-end story the loop-emitting codegen
-//! relies on: a bounded-loop Collector-style program verifies and runs,
-//! and the same program with its exit condition removed is rejected.
+//! The suite also pins the verifier's bounded-loop support end to end,
+//! on a program it builds itself (the Collector codegen emits
+//! straight-line code): a bounded-loop Collector-style program verifies
+//! and runs, and the same program with its exit condition removed is
+//! rejected.
 
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 
